@@ -238,7 +238,9 @@ cargo clippy -p dns-resolver --all-targets --offline -- -D warnings \
     -D clippy::await_holding_lock \
     -D clippy::mutex_atomic
 
-echo "== cargo test =="
-cargo test -q --offline
+echo "== cargo test (whole workspace) =="
+# Every crate's unit, integration and doc tests, the root package's
+# included; the smoke steps below re-run a few suites in release mode.
+cargo test -q --workspace --offline
 
 smoke

@@ -1,7 +1,7 @@
 //! Query processing for an authoritative server.
 
 use crate::ZoneStore;
-use dns_core::{Message, Name, RData, Rcode, Record, RecordType, Ttl, Zone};
+use dns_core::{Message, Name, Question, RData, Rcode, Record, RecordType, Ttl, Zone};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -64,11 +64,11 @@ impl AuthServer {
     /// SOA, and CNAME chasing within the zone).
     pub fn handle_query(&self, query: &Message) -> Message {
         let mut resp = Message::response_to(query);
-        let Some(question) = query.question().cloned() else {
+        let Some(question) = query.question() else {
             resp.header.rcode = Rcode::FormErr;
             return resp;
         };
-        let Some(zone) = self.zones.find(&question.name) else {
+        let Some(mut zone) = self.zones.find(&question.name) else {
             resp.header.rcode = Rcode::Refused;
             return resp;
         };
@@ -84,95 +84,86 @@ impl AuthServer {
             }
             // If we also serve the child zone, answer from it directly
             // (same-server parent/child, common for TLD operators).
-            if let Some(child_zone) = self.zones.get(&delegation.child) {
-                if child_zone.delegation_for(&question.name).is_none() {
-                    return self.authoritative_answer(child_zone, query);
+            match self.zones.get(&delegation.child) {
+                Some(child) if child.delegation_for(&question.name).is_none() => zone = child,
+                _ => {
+                    resp.authorities.extend(delegation.ns_records());
+                    // Signed delegations carry the DS set alongside the NS
+                    // set — the DNSSEC infrastructure records of paper §6.
+                    resp.authorities.extend(delegation.ds.iter().cloned());
+                    resp.additionals.extend(delegation.glue.iter().cloned());
+                    return resp;
                 }
             }
-            resp.header.authoritative = false;
-            for rec in delegation.ns_rrset().to_records() {
-                resp.authorities.push(rec);
-            }
-            // Signed delegations carry the DS set alongside the NS set —
-            // the DNSSEC infrastructure records of paper §6.
-            for ds in &delegation.ds {
-                resp.authorities.push(ds.clone());
-            }
-            for glue in &delegation.glue {
-                resp.additionals.push(glue.clone());
-            }
-            return resp;
         }
 
-        self.authoritative_answer(zone, query)
+        authoritative_answer(zone, question, &mut resp);
+        resp
     }
+}
 
-    fn authoritative_answer(&self, zone: &Zone, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
-        resp.header.authoritative = true;
-        let question = query.question().expect("checked by caller").clone();
-
-        let mut qname = question.name.clone();
-        for _ in 0..MAX_CNAME_CHAIN {
-            if let Some(set) = zone.lookup(&qname, question.rtype) {
-                resp.answers.extend(set.to_records());
-                break;
-            }
-            // Chase an in-zone CNAME when the queried type is not CNAME.
-            if question.rtype != RecordType::Cname {
-                if let Some(cname) = zone.lookup(&qname, RecordType::Cname) {
-                    resp.answers.extend(cname.to_records());
-                    if let Some(RData::Cname(target)) = cname.rdatas().first() {
-                        if target.is_subdomain_of(zone.apex()) {
-                            qname = target.clone();
-                            continue;
-                        }
+/// Fills `resp` with `zone`'s authoritative answer to `question`.
+fn authoritative_answer(zone: &Zone, question: &Question, resp: &mut Message) {
+    resp.header.authoritative = true;
+    let mut qname = &question.name;
+    for _ in 0..MAX_CNAME_CHAIN {
+        if let Some(set) = zone.lookup(qname, question.rtype) {
+            resp.answers.extend(set.records());
+            break;
+        }
+        // Chase an in-zone CNAME when the queried type is not CNAME.
+        if question.rtype != RecordType::Cname {
+            if let Some(cname) = zone.lookup(qname, RecordType::Cname) {
+                resp.answers.extend(cname.records());
+                if let Some(RData::Cname(target)) = cname.rdatas().first() {
+                    if target.is_subdomain_of(zone.apex()) {
+                        qname = target;
+                        continue;
                     }
                 }
             }
-            break;
         }
+        break;
+    }
 
-        if resp.answers.is_empty() {
-            // Negative answer: NXDOMAIN if nothing exists at the name,
-            // NODATA otherwise; both carry the SOA for negative caching.
-            if !zone.name_exists(&question.name) {
-                resp.header.rcode = Rcode::NxDomain;
-            }
-            if let Some(soa) = zone.lookup(zone.apex(), RecordType::Soa) {
-                resp.authorities.extend(soa.to_records());
-            } else {
-                // Synthesise a minimal SOA so negative caching still works
-                // for generated zones that omit one.
-                resp.authorities.push(Record::new(
-                    zone.apex().clone(),
-                    Ttl::from_mins(5),
-                    RData::Soa {
-                        mname: zone.ns_names().first().cloned().unwrap_or_else(Name::root),
-                        rname: zone.apex().clone(),
-                        serial: 1,
-                        refresh: 7200,
-                        retry: 3600,
-                        expire: 1_209_600,
-                        minimum: 300,
-                    },
-                ));
-            }
-            return resp;
+    if resp.answers.is_empty() {
+        // Negative answer: NXDOMAIN if nothing exists at the name, NODATA
+        // otherwise; both carry the SOA for negative caching.
+        if !zone.name_exists(&question.name) {
+            resp.header.rcode = Rcode::NxDomain;
         }
+        if let Some(soa) = zone.lookup(zone.apex(), RecordType::Soa) {
+            resp.authorities.extend(soa.records());
+        } else {
+            // Synthesise a minimal SOA so negative caching still works for
+            // generated zones that omit one.
+            resp.authorities.push(Record::new(
+                zone.apex().clone(),
+                Ttl::from_mins(5),
+                RData::Soa {
+                    mname: zone.ns_names().first().cloned().unwrap_or_else(Name::root),
+                    rname: zone.apex().clone(),
+                    serial: 1,
+                    refresh: 7200,
+                    retry: 3600,
+                    expire: 1_209_600,
+                    minimum: 300,
+                },
+            ));
+        }
+        return;
+    }
 
-        // Positive answer: attach the zone's own infrastructure records.
-        // These authority/additional copies are exactly what the paper's
-        // TTL-refresh scheme consumes at the caching server.
-        if let Some(ns_set) = zone.lookup(zone.apex(), RecordType::Ns) {
-            resp.authorities.extend(ns_set.to_records());
-            for ns_name in zone.ns_names() {
-                if let Some(a_set) = zone.lookup(ns_name, RecordType::A) {
-                    resp.additionals.extend(a_set.to_records());
-                }
+    // Positive answer: attach the zone's own infrastructure records. These
+    // authority/additional copies are exactly what the paper's TTL-refresh
+    // scheme consumes at the caching server.
+    if let Some(ns_set) = zone.lookup(zone.apex(), RecordType::Ns) {
+        resp.authorities.extend(ns_set.records());
+        for ns_name in zone.ns_names() {
+            if let Some(a_set) = zone.lookup(ns_name, RecordType::A) {
+                resp.additionals.extend(a_set.records());
             }
         }
-        resp
     }
 }
 
@@ -191,7 +182,7 @@ impl fmt::Display for AuthServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dns_core::{Delegation, Question, ResponseKind, ZoneBuilder};
+    use dns_core::{Delegation, ResponseKind, ZoneBuilder};
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()

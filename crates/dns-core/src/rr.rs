@@ -505,18 +505,24 @@ impl RrSet {
     /// Returns `None` when `records` is empty.
     pub fn from_records(records: &[Record]) -> Option<Self> {
         let first = records.first()?;
-        let key = first.key();
-        let mut ttl = first.ttl();
-        let mut rdatas = Vec::new();
+        let mut set = RrSet::new(first.key(), first.ttl(), Vec::new());
         for r in records {
-            if r.key() == key {
-                ttl = if r.ttl() < ttl { r.ttl() } else { ttl };
-                if !rdatas.contains(r.rdata()) {
-                    rdatas.push(r.rdata().clone());
-                }
-            }
+            set.merge(r);
         }
-        Some(RrSet { key, ttl, rdatas })
+        Some(set)
+    }
+
+    /// Folds one more member into the set: the TTL drops to the record's
+    /// if lower, and its RDATA is appended unless already present. A
+    /// record of another name or type is ignored.
+    pub fn merge(&mut self, record: &Record) {
+        if record.rtype() != self.key.rtype || record.name() != &self.key.name {
+            return;
+        }
+        self.ttl = self.ttl.min(record.ttl());
+        if !self.rdatas.contains(record.rdata()) {
+            self.rdatas.push(record.rdata().clone());
+        }
     }
 
     /// Creates an RRset directly.
@@ -567,10 +573,15 @@ impl RrSet {
 
     /// Expands back into individual [`Record`]s.
     pub fn to_records(&self) -> Vec<Record> {
+        self.records().collect()
+    }
+
+    /// The set's individual [`Record`]s, built on demand (no intermediate
+    /// `Vec`, for extending a message section in place).
+    pub fn records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
         self.rdatas
             .iter()
             .map(|rd| Record::new(self.key.name.clone(), self.ttl, rd.clone()))
-            .collect()
     }
 
     /// Absolute expiry for a copy received at `at`.

@@ -1,9 +1,10 @@
 //! Authoritative zone data: apex records, in-zone data and delegations.
 
 use crate::{DnsError, Name, RData, Record, RecordType, RrKey, RrKeyView, RrSet, Ttl};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::net::Ipv4Addr;
+use std::ops::Bound;
 
 /// A delegation point inside a zone: the child zone's NS set as stored at
 /// the *parent*, plus any glue address records.
@@ -37,13 +38,11 @@ impl Delegation {
         }
     }
 
-    /// The NS RRset this delegation publishes.
-    pub fn ns_rrset(&self) -> RrSet {
-        RrSet::new(
-            RrKey::new(self.child.clone(), RecordType::Ns),
-            self.ns_ttl,
-            self.ns_names.iter().cloned().map(RData::Ns).collect(),
-        )
+    /// The NS records this delegation publishes, one per server name.
+    pub fn ns_records(&self) -> impl ExactSizeIterator<Item = Record> + '_ {
+        self.ns_names
+            .iter()
+            .map(|ns| Record::new(self.child.clone(), self.ns_ttl, RData::Ns(ns.clone())))
     }
 }
 
@@ -79,6 +78,9 @@ pub struct Zone {
     records: BTreeMap<RrKey, RrSet>,
     /// Delegations to children, keyed by child apex.
     delegations: BTreeMap<Name, Delegation>,
+    /// Owner names of the delegations' glue records, with how many glue
+    /// records each owns, so [`Zone::name_exists`] never scans the glue.
+    glue_names: HashMap<Name, usize>,
 }
 
 impl Zone {
@@ -121,13 +123,19 @@ impl Zone {
         self.records.get(&(name, rtype) as &dyn RrKeyView)
     }
 
-    /// Whether any RRset exists at `name`.
+    /// Whether any RRset exists at `name`: authoritative data, a
+    /// delegation cut or delegation glue.
     pub fn name_exists(&self, name: &Name) -> bool {
-        self.records.keys().any(|k| &k.name == name)
-            || self
-                .delegations
-                .values()
-                .any(|d| d.child == *name || d.glue.iter().any(|g| g.name() == name))
+        // Keys order by name, then type, and `A` is the first type: the
+        // first key at or after `(name, A)` is owned by `name` iff any is.
+        let first = (name, RecordType::A);
+        let from: &dyn RrKeyView = &first;
+        self.records
+            .range::<dyn RrKeyView, _>((Bound::Included(from), Bound::Unbounded))
+            .next()
+            .is_some_and(|(key, _)| &key.name == name)
+            || self.delegations.contains_key(name)
+            || self.glue_names.contains_key(name)
     }
 
     /// The deepest delegation whose child apex is `name` or an ancestor of
@@ -182,13 +190,13 @@ impl Zone {
         let mut out = String::new();
         let _ = writeln!(out, "$ORIGIN {}", self.apex);
         for set in self.records.values() {
-            for rec in set.to_records() {
+            for rec in set.records() {
                 let _ = writeln!(out, "{rec}");
             }
         }
         for d in self.delegations.values() {
             let _ = writeln!(out, "; delegation: {}", d.child);
-            for rec in d.ns_rrset().to_records() {
+            for rec in d.ns_records() {
                 let _ = writeln!(out, "{rec}");
             }
             for rec in &d.ds {
@@ -210,8 +218,20 @@ impl Zone {
                 delegation.child, self.apex
             )));
         }
-        self.delegations
+        for glue in &delegation.glue {
+            *self.glue_names.entry(glue.name().clone()).or_default() += 1;
+        }
+        let replaced = self
+            .delegations
             .insert(delegation.child.clone(), delegation);
+        for glue in replaced.iter().flat_map(|d| &d.glue) {
+            if let Some(count) = self.glue_names.get_mut(glue.name()) {
+                *count -= 1;
+                if *count == 0 {
+                    self.glue_names.remove(glue.name());
+                }
+            }
+        }
         Ok(())
     }
 }
@@ -307,19 +327,14 @@ impl ZoneBuilder {
             )));
         }
         let mut records: BTreeMap<RrKey, RrSet> = BTreeMap::new();
-        let mut push = |rec: Record| {
-            let key = rec.key();
-            match records.get_mut(&key) {
-                Some(set) => {
-                    let mut all = set.to_records();
-                    all.push(rec);
-                    *set = RrSet::from_records(&all).expect("non-empty");
-                }
+        let mut push =
+            |rec: Record| match records.get_mut(&(rec.name(), rec.rtype()) as &dyn RrKeyView) {
+                Some(set) => set.merge(&rec),
                 None => {
-                    records.insert(key, RrSet::from_records(&[rec]).expect("non-empty"));
+                    let set = RrSet::new(rec.key(), rec.ttl(), vec![rec.rdata().clone()]);
+                    records.insert(rec.key(), set);
                 }
-            }
-        };
+            };
 
         // Apex NS set plus in-zone glue.
         for (ns_name, addr) in &self.ns {
@@ -365,6 +380,7 @@ impl ZoneBuilder {
             infra_ttl: self.infra_ttl,
             records,
             delegations: BTreeMap::new(),
+            glue_names: HashMap::new(),
         };
         for d in self.delegations {
             zone.add_delegation(d)?;
@@ -489,13 +505,18 @@ mod tests {
     }
 
     #[test]
-    fn delegation_ns_rrset() {
+    fn delegation_ns_records() {
         let z = ucla();
         let d = z.delegation(&name("cs.ucla.edu")).unwrap();
-        let set = d.ns_rrset();
-        assert_eq!(set.rtype(), RecordType::Ns);
-        assert_eq!(set.ttl(), Ttl::from_hours(12));
-        assert_eq!(set.len(), 1);
+        let records: Vec<Record> = d.ns_records().collect();
+        assert_eq!(
+            records,
+            [Record::new(
+                name("cs.ucla.edu"),
+                Ttl::from_hours(12),
+                RData::Ns(name("ns.cs.ucla.edu")),
+            )]
+        );
     }
 
     #[test]
@@ -519,5 +540,66 @@ mod tests {
         assert!(z.name_exists(&name("ucla.edu")));
         assert!(z.name_exists(&name("ns.cs.ucla.edu"))); // delegation glue
         assert!(!z.name_exists(&name("nope.ucla.edu")));
+    }
+
+    /// The full scan `name_exists` used to run: every record key, then
+    /// every delegation's apex and glue.
+    fn name_exists_by_scan(z: &Zone, n: &Name) -> bool {
+        z.records.keys().any(|k| &k.name == n)
+            || z.delegations
+                .values()
+                .any(|d| d.child == *n || d.glue.iter().any(|g| g.name() == n))
+    }
+
+    /// Names below `gen.test`; a small pool so generated records,
+    /// delegations and glue collide on the same owners often.
+    fn pool(idx: usize) -> Name {
+        const LABELS: [&str; 6] = ["a", "b", "ns", "www", "c.a", "ns.b"];
+        match idx {
+            0 => name("gen.test"),
+            i => name(&format!("{}.gen.test", LABELS[(i - 1) % LABELS.len()])),
+        }
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn name_exists_matches_full_scan(
+            records in proptest::collection::vec((0usize..7, 0usize..3), 0..8),
+            delegations in proptest::collection::vec(
+                (1usize..7, proptest::collection::vec(0usize..7, 0..3)),
+                0..6,
+            ),
+        ) {
+            let mut builder = ZoneBuilder::new(pool(0)).ns(pool(3), ip(1), Ttl::from_days(1));
+            for (owner, kind) in records {
+                let rdata = match kind {
+                    0 => RData::A(ip(owner as u8)),
+                    1 => RData::Txt(format!("t{owner}")),
+                    _ => RData::Mx { preference: 10, exchange: pool(4) },
+                };
+                builder = builder.record(Record::new(pool(owner), Ttl::from_hours(1), rdata));
+            }
+            let mut z = builder.build().unwrap();
+            // Re-adding a child replaces its delegation, glue included.
+            for (child, glue) in delegations {
+                let glue = glue
+                    .into_iter()
+                    .map(|g| Record::new(pool(g), Ttl::from_hours(2), RData::A(ip(g as u8))))
+                    .collect();
+                z.add_delegation(Delegation::unsigned(
+                    pool(child),
+                    vec![pool(3)],
+                    Ttl::from_hours(2),
+                    glue,
+                ))
+                .unwrap();
+            }
+            for idx in 0..7 {
+                let n = pool(idx);
+                proptest::prop_assert_eq!(z.name_exists(&n), name_exists_by_scan(&z, &n));
+            }
+            let absent = name("zz.gen.test");
+            proptest::prop_assert!(!z.name_exists(&absent));
+        }
     }
 }

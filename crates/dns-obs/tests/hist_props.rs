@@ -9,15 +9,26 @@
 //!    bounded by the bucket's 12.5% width).
 //! 2. merge is associative and commutative.
 //! 3. the record / quantile / merge / diff paths perform zero
-//!    allocations, enforced by a counting global allocator (the same
-//!    guard pattern as `dns-bench/benches/cache.rs`).
+//!    allocations, enforced by a counting global allocator that counts
+//!    per thread, so tests running in parallel do not charge each other.
 
 use dns_obs::LogHistogram;
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. Per-thread, so a probe
+    /// counts only its own thread's work while sibling tests run in
+    /// parallel. Const-initialised with no destructor: touching it never
+    /// allocates, so the allocator itself may update it.
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with` keeps allocation during thread teardown from panicking.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
 
 /// Delegates to the system allocator, counting every allocation so the
 /// zero-allocation property below can observe the record path.
@@ -25,7 +36,7 @@ struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -34,7 +45,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,11 +53,11 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed by `op`.
+/// Allocations performed by `op` on the calling thread.
 fn allocs_during(mut op: impl FnMut()) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = ALLOCS.with(Cell::get);
     op();
-    ALLOCS.load(Ordering::Relaxed) - before
+    ALLOCS.with(Cell::get) - before
 }
 
 /// Nearest-rank percentile over raw samples — the same rank rule as

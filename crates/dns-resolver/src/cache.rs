@@ -6,6 +6,7 @@
 
 use dns_core::{Name, RecordType, RrKey, RrKeyView, RrSet, SimDuration, SimTime, Ttl};
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 
@@ -35,6 +36,9 @@ pub struct CacheEntry {
     pub expires_at: SimTime,
     /// Trustworthiness of this copy.
     pub credibility: Credibility,
+    /// Time of this entry's one live pair on the expiry heap; never later
+    /// than `expires_at` (a pair due before expiry re-arms on pop).
+    armed: SimTime,
 }
 
 impl CacheEntry {
@@ -97,11 +101,16 @@ fn negative_cost(key: &RrKey) -> usize {
 pub struct RecordCache {
     entries: HashMap<RrKey, CacheEntry>,
     negatives: HashMap<RrKey, (SimTime, NegativeKind)>,
-    /// Expiry min-heap over `entries`, lazy-deleted: a pair whose entry
-    /// was since re-inserted with a different expiry no longer matches
-    /// the map and is skipped on pop.
+    /// Expiry min-heap over `entries` holding one live pair per entry, at
+    /// the entry's `armed` time. A re-insert that moves expiry later
+    /// pushes nothing: the pending pair re-arms at the new expiry when it
+    /// pops. Only a re-insert that moves expiry earlier pushes, leaving
+    /// the later pair stale (its time no longer matches `armed`).
     expiry: BinaryHeap<Reverse<(SimTime, RrKey)>>,
-    /// Expiry min-heap over `negatives`, same discipline.
+    /// Expiry min-heap over `negatives`, plainly lazy-deleted: a pair whose
+    /// entry was since re-inserted with a different expiry is skipped on
+    /// pop. Negatives are only re-inserted after they expire, and the
+    /// budget loop in [`Self::insert_negative`] evicts in this pop order.
     neg_expiry: BinaryHeap<Reverse<(SimTime, RrKey)>>,
     /// Individual records across stored positive entries, maintained on
     /// insert/evict so occupancy sampling never scans the table.
@@ -130,26 +139,37 @@ impl RecordCache {
     ///
     /// Returns `true` when the set was stored.
     pub fn insert(&mut self, set: RrSet, now: SimTime, credibility: Credibility) -> bool {
-        let key = set.key().clone();
-        if let Some(existing) = self.entries.get(&key) {
-            if existing.is_fresh(now) && existing.credibility > credibility {
-                return false;
-            }
-        }
         let expires_at = set.ttl().expires_at(now);
         let added = set.len();
-        if let Some(old) = self.entries.insert(
-            key.clone(),
-            CacheEntry {
-                set,
-                expires_at,
-                credibility,
-            },
-        ) {
-            self.record_total -= old.set.len();
+        match self.entries.entry(set.key().clone()) {
+            Entry::Occupied(mut slot) => {
+                let existing = slot.get();
+                if existing.is_fresh(now) && existing.credibility > credibility {
+                    return false;
+                }
+                // A later expiry reuses the pending pair, which re-arms when
+                // it pops; only an earlier one needs a pair of its own.
+                if expires_at < existing.armed {
+                    self.expiry.push(Reverse((expires_at, slot.key().clone())));
+                    slot.get_mut().armed = expires_at;
+                }
+                let existing = slot.get_mut();
+                self.record_total = self.record_total - existing.set.len() + added;
+                existing.set = set;
+                existing.expires_at = expires_at;
+                existing.credibility = credibility;
+            }
+            Entry::Vacant(slot) => {
+                self.expiry.push(Reverse((expires_at, slot.key().clone())));
+                slot.insert(CacheEntry {
+                    set,
+                    expires_at,
+                    credibility,
+                    armed: expires_at,
+                });
+                self.record_total += added;
+            }
         }
-        self.record_total += added;
-        self.expiry.push(Reverse((expires_at, key)));
         true
     }
 
@@ -169,13 +189,24 @@ impl RecordCache {
             .is_some_and(|Reverse((at, _))| *at + grace <= now)
         {
             let Reverse((at, key)) = self.expiry.pop().expect("peeked");
-            // Skip lazily-deleted pairs: the entry was re-inserted with a
-            // different expiry after this pair was pushed.
-            if self.entries.get(&key).is_some_and(|e| e.expires_at == at) {
-                let old = self.entries.remove(&key).expect("just probed");
-                self.record_total -= old.set.len();
-                evicted += 1;
+            let Some(entry) = self.entries.get_mut(&key) else {
+                continue;
+            };
+            if entry.armed != at {
+                // Stale: a re-insert moved the expiry earlier and pushed
+                // the pair that is now live.
+                continue;
             }
+            if entry.expires_at != at {
+                // Refreshed since this pair was pushed: re-arm at the new
+                // expiry (popped again by this loop if already due).
+                entry.armed = entry.expires_at;
+                self.expiry.push(Reverse((entry.expires_at, key)));
+                continue;
+            }
+            self.record_total -= entry.set.len();
+            self.entries.remove(&key);
+            evicted += 1;
         }
         while self
             .neg_expiry
@@ -330,6 +361,13 @@ impl RecordCache {
     /// Approximate bytes across stored negative entries.
     pub fn negative_bytes(&self) -> usize {
         self.neg_bytes
+    }
+
+    /// Pairs pending on the positive expiry heap, live and stale; with no
+    /// re-insert that moved an expiry earlier this is at most [`Self::len`].
+    #[doc(hidden)]
+    pub fn pending_expiry_pairs(&self) -> usize {
+        self.expiry.len()
     }
 
     /// Number of positive entries fresh at `now` (O(expired) via the
@@ -667,25 +705,50 @@ mod tests {
     }
 
     #[test]
-    fn reinsert_leaves_stale_heap_pair_behind_harmlessly() {
+    fn reinsert_with_later_expiry_rearms_its_one_pair() {
         let mut c = RecordCache::new();
         c.insert(
             a_set("a.x.com", 1, Ttl::from_mins(5)),
             SimTime::ZERO,
             Credibility::AuthAnswer,
         );
-        // Re-insert with a longer TTL: the 5-minute heap pair goes stale.
+        // Re-insert with a longer TTL: no second pair is pushed.
         c.insert(
             a_set("a.x.com", 2, Ttl::from_hours(2)),
             SimTime::from_mins(1),
             Credibility::AuthAnswer,
         );
-        // Popping the stale pair must not evict the refreshed entry...
+        assert_eq!(c.pending_expiry_pairs(), 1);
+        // Popping the 5-minute pair re-arms it instead of evicting...
         assert_eq!(c.purge_expired(SimTime::from_mins(10)), 0);
+        assert_eq!(c.pending_expiry_pairs(), 1);
         assert_eq!(c.fresh_len(SimTime::from_mins(10)), 1);
         assert_eq!(c.fresh_record_count(SimTime::from_mins(10)), 1);
         // ...and the refreshed entry still expires on its own schedule.
         assert_eq!(c.purge_expired(SimTime::from_hours(3)), 1);
         assert_eq!(c.fresh_record_count(SimTime::from_hours(3)), 0);
+        assert_eq!(c.pending_expiry_pairs(), 0);
+    }
+
+    #[test]
+    fn reinsert_with_earlier_expiry_evicts_on_time() {
+        let mut c = RecordCache::new();
+        c.insert(
+            a_set("a.x.com", 1, Ttl::from_hours(2)),
+            SimTime::ZERO,
+            Credibility::AuthAnswer,
+        );
+        c.insert(
+            a_set("a.x.com", 2, Ttl::from_mins(5)),
+            SimTime::from_mins(1),
+            Credibility::AuthAnswer,
+        );
+        // The earlier expiry needs its own pair; the 2-hour one goes stale.
+        assert_eq!(c.pending_expiry_pairs(), 2);
+        assert_eq!(c.purge_expired(SimTime::from_mins(6)), 1);
+        assert_eq!(c.len(), 0);
+        // The stale pair pops onto a missing entry and evicts nothing.
+        assert_eq!(c.purge_expired(SimTime::from_hours(3)), 0);
+        assert_eq!(c.pending_expiry_pairs(), 0);
     }
 }

@@ -59,6 +59,9 @@ pub struct InfraEntry {
     /// Whether this entry is currently included in the cache's maintained
     /// fresh-occupancy counters (cleared by the expiry heap when due).
     counted: bool,
+    /// Time of a counted entry's one live pair on the occupancy heap;
+    /// never later than `expires_at` (a pair due early re-arms on pop).
+    armed: SimTime,
 }
 
 impl InfraEntry {
@@ -99,11 +102,12 @@ pub struct InfraCache {
     /// pairs (entry refreshed since scheduling) are skipped on pop.
     schedule: BTreeSet<(SimTime, Name)>,
     gap_samples: Vec<GapSample>,
-    /// Occupancy expiry min-heap, lazy-deleted like the renewal schedule:
-    /// a popped pair only uncounts the entry if it still expires at that
-    /// instant. Unlike eviction in `RecordCache`, expired entries stay in
-    /// the map as tombstones (Figure 3 needs them) — only their
-    /// contribution to the fresh counters is retired.
+    /// Occupancy expiry min-heap with one live pair per counted entry, at
+    /// the entry's `armed` time: a refresh that moves expiry later pushes
+    /// nothing, and the pending pair re-arms at the new expiry when it
+    /// pops. Unlike eviction in `RecordCache`, expired entries stay in the
+    /// map as tombstones (Figure 3 needs them) — only their contribution
+    /// to the fresh counters is retired.
     expiry: BinaryHeap<Reverse<(SimTime, Name)>>,
     /// Zones counted fresh as of the last advance.
     fresh_zones: usize,
@@ -131,6 +135,7 @@ impl InfraCache {
             last_parent_contact: SimTime::MAX,
             gap_recorded: true,
             counted: true,
+            armed: SimTime::MAX,
         };
         // Hints never expire, so they are counted once and never pushed
         // onto the expiry heap.
@@ -211,120 +216,107 @@ impl InfraCache {
         if ns_names.is_empty() {
             return false;
         }
-        let mut credit = 0;
-        // A parent-sourced copy confirms the delegation now; a child copy
-        // inherits the last confirmation time (first-learned entries start
-        // the clock at installation).
-        let mut last_parent_contact = now;
-        // Inspect the existing entry (immutably) and decide what to do.
-        let existing = match self.entries.get(&zone) {
-            Some(e) => {
-                if e.source == InfraSource::RootHints {
-                    return false;
-                }
-                let same_servers = {
-                    let mut a = e.ns_names.clone();
-                    let mut b = ns_names.clone();
-                    a.sort();
-                    b.sort();
-                    a == b
-                };
-                Some((
-                    e.is_fresh(now),
-                    e.source,
-                    e.expires_at,
-                    e.credit,
-                    e.last_parent_contact,
-                    same_servers,
-                    e.ds.clone(),
-                ))
-            }
-            None => None,
-        };
-        let mut ds = Vec::new();
-        if let Some((
-            was_fresh,
-            old_source,
-            old_expiry,
-            old_credit,
-            old_parent_contact,
-            same,
-            old_ds,
-        )) = existing
-        {
-            if was_fresh {
-                let replace = match (old_source, source) {
-                    // Child data replaces parent data…
-                    (InfraSource::Parent, InfraSource::Child) => true,
-                    // …and refreshes itself only when the scheme is on.
-                    (InfraSource::Child, InfraSource::Child) => refresh,
-                    // Parent data never displaces fresh data. A repeat
-                    // parent copy while a parent copy is fresh is the same
-                    // data; refreshing it is also gated on the scheme.
-                    (InfraSource::Parent, InfraSource::Parent) => refresh,
-                    // A fresh child copy resists parent data with the same
-                    // NS set (RFC 2181 ranking) — but the parent copy still
-                    // *confirms* the delegation for the §6 recheck clock.
-                    // A *different* parent NS set means the delegation
-                    // changed (e.g. the zone was reclaimed): parent wins.
-                    (InfraSource::Child, InfraSource::Parent) => {
-                        if same {
-                            if let Some(entry) = self.entries.get_mut(&zone) {
-                                entry.last_parent_contact = now;
-                            }
-                            return false;
-                        }
-                        true
-                    }
-                    (InfraSource::RootHints, _) | (_, InfraSource::RootHints) => false,
-                };
-                if !replace {
-                    return false;
-                }
-            } else {
-                // Reinstalling after expiry: record the Figure-3 gap.
-                self.note_gap(&zone, now);
-            }
-            // Credit survives expiry — the paper's renewal policies
-            // decrement it per renewal, not per expiry.
-            credit = old_credit;
-            // DS material survives reinstalls (only the parent can change
-            // it; see `set_ds`).
-            ds = old_ds;
-            if source != InfraSource::Parent {
-                last_parent_contact = old_parent_contact;
-            }
-            self.schedule.remove(&(old_expiry, zone.clone()));
-        }
         let expires_at = ttl.expires_at(now);
-        self.schedule.insert((expires_at, zone.clone()));
         let counted = now < expires_at;
-        if counted {
-            self.expiry.push(Reverse((expires_at, zone.clone())));
-        }
-        let entry = InfraEntry {
-            zone: zone.clone(),
-            ns_names,
-            addrs,
-            ttl,
-            expires_at,
-            source,
-            credit,
-            ds,
-            last_parent_contact,
-            gap_recorded: false,
-            counted,
-        };
-        if counted {
-            self.fresh_zones += 1;
-            self.fresh_records += entry.record_count();
-        }
-        if let Some(old) = self.entries.insert(zone, entry) {
-            if old.counted {
-                self.fresh_zones -= 1;
-                self.fresh_records -= old.record_count();
+        let Some(entry) = self.entries.get_mut(&zone) else {
+            self.schedule.insert((expires_at, zone.clone()));
+            if counted {
+                self.expiry.push(Reverse((expires_at, zone.clone())));
+                self.fresh_zones += 1;
+                self.fresh_records += ns_names.len() + addrs.len();
             }
+            let entry = InfraEntry {
+                zone: zone.clone(),
+                ns_names,
+                addrs,
+                ttl,
+                expires_at,
+                source,
+                credit: 0,
+                ds: Vec::new(),
+                // First-learned entries start the parent-recheck clock now.
+                last_parent_contact: now,
+                gap_recorded: false,
+                counted,
+                armed: expires_at,
+            };
+            self.entries.insert(zone, entry);
+            return true;
+        };
+        if entry.source == InfraSource::RootHints {
+            return false;
         }
+        if entry.is_fresh(now) {
+            let replace = match (entry.source, source) {
+                // Child data replaces parent data…
+                (InfraSource::Parent, InfraSource::Child) => true,
+                // …and refreshes itself only when the scheme is on.
+                (InfraSource::Child, InfraSource::Child) => refresh,
+                // Parent data never displaces fresh data. A repeat parent
+                // copy while a parent copy is fresh is the same data;
+                // refreshing it is also gated on the scheme.
+                (InfraSource::Parent, InfraSource::Parent) => refresh,
+                // A fresh child copy resists parent data with the same NS
+                // set (RFC 2181 ranking) — but the parent copy still
+                // *confirms* the delegation for the §6 recheck clock. A
+                // *different* parent NS set means the delegation changed
+                // (e.g. the zone was reclaimed): parent wins.
+                (InfraSource::Child, InfraSource::Parent) => {
+                    if same_servers(&entry.ns_names, &ns_names) {
+                        entry.last_parent_contact = now;
+                        return false;
+                    }
+                    true
+                }
+                (InfraSource::RootHints, _) | (_, InfraSource::RootHints) => false,
+            };
+            if !replace {
+                return false;
+            }
+        } else if !entry.gap_recorded {
+            // Reinstalling after expiry: record the Figure-3 gap.
+            entry.gap_recorded = true;
+            self.gap_samples.push(GapSample {
+                zone: zone.clone(),
+                gap: now - entry.expires_at,
+                ttl: entry.ttl,
+            });
+        }
+        // Update in place. Credit survives expiry (the paper's renewal
+        // policies decrement it per renewal, not per expiry), and DS
+        // material survives reinstalls (only the parent can change it;
+        // see `set_ds`). A parent-sourced copy confirms the delegation
+        // now; a child copy inherits the last confirmation time.
+        if entry.expires_at != expires_at {
+            self.schedule.remove(&(entry.expires_at, zone.clone()));
+            self.schedule.insert((expires_at, zone.clone()));
+        }
+        if entry.counted {
+            self.fresh_zones -= 1;
+            self.fresh_records -= entry.record_count();
+        }
+        if counted {
+            // A counted entry's pending pair fires at `armed`, and re-arms
+            // then if the expiry has moved later; only an earlier expiry
+            // (or an uncounted entry, which has no pending pair) needs a
+            // new one.
+            if !entry.counted || expires_at < entry.armed {
+                self.expiry.push(Reverse((expires_at, zone)));
+                entry.armed = expires_at;
+            }
+            self.fresh_zones += 1;
+            self.fresh_records += ns_names.len() + addrs.len();
+        }
+        if source == InfraSource::Parent {
+            entry.last_parent_contact = now;
+        }
+        entry.ns_names = ns_names;
+        entry.addrs = addrs;
+        entry.ttl = ttl;
+        entry.expires_at = expires_at;
+        entry.source = source;
+        entry.gap_recorded = false;
+        entry.counted = counted;
         true
     }
 
@@ -338,15 +330,24 @@ impl InfraCache {
             .is_some_and(|Reverse((at, _))| *at <= now)
         {
             let Reverse((at, zone)) = self.expiry.pop().expect("peeked");
-            if let Some(entry) = self.entries.get_mut(&zone) {
-                // A refreshed entry has a different expiry: the stale pair
-                // is skipped and its newer pair governs the uncount.
-                if entry.counted && entry.expires_at == at {
-                    entry.counted = false;
-                    self.fresh_zones -= 1;
-                    self.fresh_records -= entry.record_count();
-                }
+            let Some(entry) = self.entries.get_mut(&zone) else {
+                continue;
+            };
+            if !entry.counted || entry.armed != at {
+                // Stale: the entry was uncounted, or an earlier expiry
+                // pushed the pair that is now live.
+                continue;
             }
+            if entry.expires_at != at {
+                // Refreshed since this pair was pushed: re-arm at the new
+                // expiry (popped again by this loop if already due).
+                entry.armed = entry.expires_at;
+                self.expiry.push(Reverse((entry.expires_at, zone)));
+                continue;
+            }
+            entry.counted = false;
+            self.fresh_zones -= 1;
+            self.fresh_records -= entry.record_count();
         }
     }
 
@@ -496,6 +497,14 @@ impl InfraCache {
         self.fresh_records
     }
 
+    /// Pairs pending on the occupancy heap, live and stale; with no
+    /// re-install that moved an expiry earlier this is at most the number
+    /// of counted entries.
+    #[doc(hidden)]
+    pub fn pending_expiry_pairs(&self) -> usize {
+        self.expiry.len()
+    }
+
     /// Total entries including tombstones.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -519,6 +528,13 @@ impl InfraCache {
             .retain(|_, e| e.is_fresh(now) || !e.gap_recorded || now - e.expires_at <= retention);
         before - self.entries.len()
     }
+}
+
+/// Whether two NS name lists hold the same servers, counting duplicates
+/// (sets are a handful of names, so no sorting or allocation).
+fn same_servers(a: &[Name], b: &[Name]) -> bool {
+    let count = |list: &[Name], n: &Name| list.iter().filter(|m| *m == n).count();
+    a.len() == b.len() && a.iter().all(|n| count(a, n) == count(b, n))
 }
 
 impl fmt::Display for InfraCache {

@@ -1043,14 +1043,17 @@ impl<B: CacheBackend> CachingServer<B> {
                 .record_zone_use(zone_queried, now, policy.as_ref());
         }
 
-        // Answer section → record cache (authoritative data only).
+        // Answer section → record cache (authoritative data only); its NS
+        // sets are kept for the infrastructure pass below.
+        let mut answer_ns: Vec<RrSet> = Vec::new();
         if resp.header.authoritative {
             for set in group_rrsets(&resp.answers) {
                 if !set.name().is_subdomain_of(zone_queried) {
                     continue; // out of bailiwick
                 }
                 if set.rtype() == RecordType::Ns {
-                    continue; // handled via the infra cache below
+                    answer_ns.push(set); // handled via the infra cache below
+                    continue;
                 }
                 let set = self.cap_ttl(set);
                 self.backend
@@ -1072,27 +1075,15 @@ impl<B: CacheBackend> CachingServer<B> {
 
         // NS sets (authority section, and answer section for explicit NS
         // queries such as renewals) → infrastructure cache.
-        let mut ns_sets: Vec<RrSet> = group_rrsets(&resp.authorities)
+        let source = if resp.header.authoritative {
+            InfraSource::Child
+        } else {
+            InfraSource::Parent
+        };
+        let authority_ns = group_rrsets(&resp.authorities)
             .into_iter()
-            .filter(|s| s.rtype() == RecordType::Ns)
-            .collect();
-        if resp.header.authoritative {
-            ns_sets.extend(
-                group_rrsets(&resp.answers)
-                    .into_iter()
-                    .filter(|s| s.rtype() == RecordType::Ns),
-            );
-        }
-        for set in ns_sets {
-            let owner = set.name().clone();
-            if !owner.is_subdomain_of(zone_queried) {
-                continue;
-            }
-            let source = if resp.header.authoritative {
-                InfraSource::Child
-            } else {
-                InfraSource::Parent
-            };
+            .filter(|s| s.rtype() == RecordType::Ns && s.name().is_subdomain_of(zone_queried));
+        for set in authority_ns.chain(answer_ns) {
             let ns_names: Vec<Name> = set
                 .rdatas()
                 .iter()
@@ -1124,6 +1115,7 @@ impl<B: CacheBackend> CachingServer<B> {
                 }
             }
             let ttl = set.ttl().min(self.config.ttl_cap);
+            let owner = set.name().clone();
             let was_fresh_child = self.backend.with_infra(&owner, |e| {
                 e.is_some_and(|e| e.is_fresh(now) && e.source == InfraSource::Child)
             });
@@ -1197,16 +1189,22 @@ fn response_matches(query: &Message, resp: &Message) -> bool {
     resp.header.response && resp.header.id == query.header.id && resp.question() == query.question()
 }
 
-/// Groups loose records into RRsets by (name, type).
+/// Groups loose records into RRsets by (name, type), in order of first
+/// appearance; each set keeps the minimum TTL and drops duplicate RDATA
+/// (see [`RrSet::merge`]). A section holds a handful of records, so a
+/// linear probe beats hashing.
 fn group_rrsets(records: &[Record]) -> Vec<RrSet> {
-    let mut groups: HashMap<dns_core::RrKey, Vec<Record>> = HashMap::new();
+    let mut sets: Vec<RrSet> = Vec::new();
     for r in records {
-        groups.entry(r.key()).or_default().push(r.clone());
+        match sets
+            .iter_mut()
+            .find(|s| s.rtype() == r.rtype() && s.name() == r.name())
+        {
+            Some(set) => set.merge(r),
+            None => sets.push(RrSet::new(r.key(), r.ttl(), vec![r.rdata().clone()])),
+        }
     }
-    groups
-        .into_values()
-        .filter_map(|recs| RrSet::from_records(&recs))
-        .collect()
+    sets
 }
 
 /// From a referral response, the child zone to descend into: the deepest
@@ -1433,28 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn group_rrsets_merges_by_key() {
-        let n: Name = "x.com".parse().unwrap();
-        let recs = vec![
-            Record::new(
-                n.clone(),
-                Ttl::from_hours(1),
-                RData::Ns("a.x.com".parse().unwrap()),
-            ),
-            Record::new(
-                n.clone(),
-                Ttl::from_hours(1),
-                RData::Ns("b.x.com".parse().unwrap()),
-            ),
-            Record::new(n, Ttl::from_hours(1), RData::A(Ipv4Addr::LOCALHOST)),
-        ];
-        let sets = group_rrsets(&recs);
-        assert_eq!(sets.len(), 2);
-        let ns = sets.iter().find(|s| s.rtype() == RecordType::Ns).unwrap();
-        assert_eq!(ns.len(), 2);
-    }
-
-    #[test]
     fn referral_child_picks_deepest_enclosing_owner() {
         let mut resp = Message::default();
         let add_ns = |resp: &mut Message, owner: &str| {
@@ -1479,5 +1455,49 @@ mod tests {
         // Referral not below the answering zone is rejected.
         let deep_zone: Name = "ucla.edu".parse().unwrap();
         assert_eq!(referral_child(&resp, &deep_zone, &qname), None);
+    }
+
+    #[test]
+    fn group_rrsets_merges_interleaved_members_in_first_appearance_order() {
+        let n = |s: &str| -> Name { s.parse().unwrap() };
+        let a = |last: u8| RData::A(Ipv4Addr::new(192, 0, 2, last));
+        let records = [
+            Record::new(n("x.test"), Ttl::from_hours(4), a(1)),
+            Record::new(n("y.test"), Ttl::from_hours(1), a(9)),
+            Record::new(n("x.test"), Ttl::from_hours(2), RData::Ns(n("ns.x.test"))),
+            // Duplicate RDATA with a lower TTL: dropped, but its TTL counts.
+            Record::new(n("x.test"), Ttl::from_hours(3), a(1)),
+            Record::new(n("x.test"), Ttl::from_hours(6), a(2)),
+            Record::new(n("x.test"), Ttl::from_hours(5), RData::Ns(n("ns.x.test"))),
+        ];
+        let sets = group_rrsets(&records);
+        let keys: Vec<(String, RecordType)> = sets
+            .iter()
+            .map(|s| (s.name().to_string(), s.rtype()))
+            .collect();
+        assert_eq!(
+            keys,
+            [
+                ("x.test.".to_string(), RecordType::A),
+                ("y.test.".to_string(), RecordType::A),
+                ("x.test.".to_string(), RecordType::Ns),
+            ]
+        );
+        // Each set keeps the minimum TTL and its distinct RDATA in order.
+        assert_eq!(sets[0].ttl(), Ttl::from_hours(3));
+        assert_eq!(sets[0].rdatas(), &[a(1), a(2)]);
+        assert_eq!(sets[1].ttl(), Ttl::from_hours(1));
+        assert_eq!(sets[2].ttl(), Ttl::from_hours(2));
+        assert_eq!(sets[2].rdatas(), &[RData::Ns(n("ns.x.test"))]);
+        // Agrees with grouping each key's records through `from_records`.
+        for set in &sets {
+            let members: Vec<Record> = records
+                .iter()
+                .filter(|r| r.name() == set.name() && r.rtype() == set.rtype())
+                .cloned()
+                .collect();
+            assert_eq!(RrSet::from_records(&members).as_ref(), Some(set));
+        }
+        assert!(group_rrsets(&[]).is_empty());
     }
 }

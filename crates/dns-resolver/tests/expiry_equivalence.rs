@@ -46,6 +46,12 @@ enum RecordOp {
         name: usize,
         ttl_secs: u32,
     },
+    /// Re-insert `name` (if fresh) with half its remaining lifetime, so
+    /// its expiry moves *earlier* and the cache must push a second pair.
+    Shorten {
+        name: usize,
+        records: usize,
+    },
     /// Purge, then compare every counter against the scan model.
     Sample,
 }
@@ -71,6 +77,7 @@ fn arb_record_op() -> impl Strategy<Value = (u32, RecordOp)> {
         ),
         (0usize..8, 0u32..90)
             .prop_map(|(name, ttl_secs)| RecordOp::InsertNegative { name, ttl_secs }),
+        (0usize..8, 1usize..=3).prop_map(|(name, records)| RecordOp::Shorten { name, records }),
         Just(RecordOp::Sample),
     ];
     (0u32..40, op)
@@ -150,6 +157,19 @@ proptest! {
                         .negatives
                         .insert((name, RecordType::A), Ttl::from_secs(ttl_secs).expires_at(now));
                 }
+                RecordOp::Shorten { name, records } => {
+                    let Some(&(exp, _, _)) = model.positives.get(&(name, RecordType::A)) else {
+                        continue;
+                    };
+                    if exp <= now {
+                        continue;
+                    }
+                    let ttl_secs = ((exp - now).as_secs() / 2) as u32;
+                    let set = a_set(&pool_name(name), records, Ttl::from_secs(ttl_secs));
+                    // Top credibility, so the re-insert always lands.
+                    prop_assert!(cache.insert(set, now, Credibility::AuthAnswer));
+                    prop_assert!(model.insert(name, records, ttl_secs, Credibility::AuthAnswer, now));
+                }
                 RecordOp::Sample => {
                     prop_assert_eq!(cache.purge_expired(now), model.purge(now));
                     prop_assert_eq!(cache.fresh_len(now), model.positives.len());
@@ -197,6 +217,12 @@ enum InfraOp {
         zone: usize,
         ns: usize,
     },
+    /// Re-install `zone` (if fresh) with half its remaining lifetime, so
+    /// its expiry moves *earlier*.
+    Shorten {
+        zone: usize,
+        ns_count: usize,
+    },
     Sample,
 }
 
@@ -211,6 +237,7 @@ fn arb_infra_op() -> impl Strategy<Value = (u32, InfraOp)> {
             }
         ),
         (0usize..6, 0usize..3).prop_map(|(zone, ns)| InfraOp::AddAddress { zone, ns }),
+        (0usize..6, 1usize..=3).prop_map(|(zone, ns_count)| InfraOp::Shorten { zone, ns_count }),
         Just(InfraOp::Sample),
     ];
     (0u32..40, op)
@@ -239,6 +266,18 @@ proptest! {
 
         for (dt, op) in ops {
             now += dns_core::SimDuration::from_secs(dt as u64);
+            let op = match op {
+                InfraOp::Shorten { zone, ns_count } => match model.get(&zone) {
+                    Some(e) if now < e.expires_at => InfraOp::Install {
+                        zone,
+                        ns_count,
+                        glue_count: 0,
+                        ttl_secs: ((e.expires_at - now).as_secs() / 2) as u32,
+                    },
+                    _ => continue,
+                },
+                op => op,
+            };
             match op {
                 InfraOp::Install { zone, ns_count, glue_count, ttl_secs } => {
                     let ns: Vec<Name> = (0..ns_count).map(|i| ns_name(zone, i)).collect();
@@ -286,6 +325,7 @@ proptest! {
                     // Tombstones persist: every installed zone stays listed.
                     prop_assert_eq!(cache.len(), model.len());
                 }
+                InfraOp::Shorten { .. } => unreachable!("rewritten above"),
             }
         }
         let end = now + dns_core::SimDuration::from_secs(120);
@@ -293,4 +333,37 @@ proptest! {
         prop_assert_eq!(cache.fresh_record_count(end), 0);
         prop_assert_eq!(cache.len(), model.len());
     }
+}
+
+/// A TTL-refresh-heavy schedule: every step re-caches one of a few keys
+/// with its fixed TTL, so expiries only ever move later. The heaps must
+/// then hold one pair per live entry, not one per insert.
+#[test]
+fn refresh_heavy_schedule_keeps_one_pair_per_entry() {
+    let mut records = RecordCache::new();
+    let mut infra = InfraCache::new();
+    let mut now = SimTime::ZERO;
+    for step in 0..2_000usize {
+        now += dns_core::SimDuration::from_secs(7);
+        let key = step % 5;
+        let ttl = Ttl::from_secs(60 * (key as u32 + 1));
+        records.insert(a_set(&pool_name(key), 2, ttl), now, Credibility::AuthAnswer);
+        infra.install(
+            pool_name(key),
+            vec![ns_name(key, 0)],
+            vec![(ns_name(key, 0), Ipv4Addr::new(10, 0, key as u8, 0))],
+            ttl,
+            now,
+            InfraSource::Child,
+            true,
+        );
+        if step % 3 == 0 {
+            records.purge_expired(now);
+        }
+        assert!(records.pending_expiry_pairs() <= records.len());
+        assert!(infra.pending_expiry_pairs() <= infra.fresh_zone_count(now));
+    }
+    assert_eq!(records.len(), 5);
+    assert_eq!(records.pending_expiry_pairs(), 5);
+    assert_eq!(infra.pending_expiry_pairs(), 5);
 }

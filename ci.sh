@@ -243,4 +243,11 @@ echo "== cargo test (whole workspace) =="
 # included; the smoke steps below re-run a few suites in release mode.
 cargo test -q --workspace --offline
 
+echo "== perfbench self-checks against the current crates =="
+# The benchmark is its own Cargo package with path dependencies on
+# crates/*; its tests (statistics, schedule, reply classifier, and that
+# BENCHMARK.json declares exactly the printed metrics) build it against
+# the crates as changed, so an API break shows here.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 smoke

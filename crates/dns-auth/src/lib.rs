@@ -40,7 +40,7 @@
 mod server;
 mod store;
 
-pub use server::AuthServer;
-pub use store::ZoneStore;
+pub use server::{respond, AuthServer};
+pub use store::{ZoneLookup, ZoneStore};
 
 pub use dns_core::Zone;

@@ -1,6 +1,6 @@
 //! Query processing for an authoritative server.
 
-use crate::ZoneStore;
+use crate::{ZoneLookup, ZoneStore};
 use dns_core::{Message, Name, Question, RData, Rcode, Record, RecordType, Ttl, Zone};
 use std::fmt;
 use std::net::Ipv4Addr;
@@ -50,56 +50,61 @@ impl AuthServer {
         &self.zones
     }
 
-    /// Mutable access to the served zones (used by the simulator to apply
-    /// long-TTL overrides).
+    /// Mutable access to the served zones, e.g. to change a served zone's
+    /// TTLs in place.
     pub fn zones_mut(&mut self) -> &mut ZoneStore {
         &mut self.zones
     }
 
-    /// Answers one query, producing a complete response message.
-    ///
-    /// The logic mirrors RFC 1034 §4.3.2: find the deepest served zone
-    /// enclosing the query name; refuse if none; refer at delegation cuts;
-    /// otherwise answer authoritatively (including NXDOMAIN/NODATA with the
-    /// SOA, and CNAME chasing within the zone).
+    /// Answers one query from the served zones; see [`respond`].
     pub fn handle_query(&self, query: &Message) -> Message {
-        let mut resp = Message::response_to(query);
-        let Some(question) = query.question() else {
-            resp.header.rcode = Rcode::FormErr;
-            return resp;
-        };
-        let Some(mut zone) = self.zones.find(&question.name) else {
-            resp.header.rcode = Rcode::Refused;
-            return resp;
-        };
+        respond(&self.zones, query)
+    }
+}
 
-        // Delegation cut between the apex and the query name → referral.
-        if let Some(delegation) = zone.delegation_for(&question.name) {
-            // DS queries are answered from the *parent* side of the cut
-            // (RFC 4035 §2.4): the DS set is authoritative parent data.
-            if question.rtype == RecordType::Ds && question.name == delegation.child {
-                resp.header.authoritative = true;
-                resp.answers.extend(delegation.ds.iter().cloned());
+/// Answers one query from `zones`, producing a complete response message.
+///
+/// The logic mirrors RFC 1034 §4.3.2: find the deepest served zone
+/// enclosing the query name; refuse if none; refer at delegation cuts;
+/// otherwise answer authoritatively (including NXDOMAIN/NODATA with the
+/// SOA, and CNAME chasing within the zone).
+pub fn respond(zones: &impl ZoneLookup, query: &Message) -> Message {
+    let mut resp = Message::response_to(query);
+    let Some(question) = query.question() else {
+        resp.header.rcode = Rcode::FormErr;
+        return resp;
+    };
+    let Some(mut zone) = zones.find(&question.name) else {
+        resp.header.rcode = Rcode::Refused;
+        return resp;
+    };
+
+    // Delegation cut between the apex and the query name → referral.
+    if let Some(delegation) = zone.delegation_for(&question.name) {
+        // DS queries are answered from the *parent* side of the cut
+        // (RFC 4035 §2.4): the DS set is authoritative parent data.
+        if question.rtype == RecordType::Ds && question.name == delegation.child {
+            resp.header.authoritative = true;
+            resp.answers.extend(delegation.ds.iter().cloned());
+            return resp;
+        }
+        // If we also serve the child zone, answer from it directly
+        // (same-server parent/child, common for TLD operators).
+        match zones.get(&delegation.child) {
+            Some(child) if child.delegation_for(&question.name).is_none() => zone = child,
+            _ => {
+                resp.authorities.extend(delegation.ns_records());
+                // Signed delegations carry the DS set alongside the NS
+                // set — the DNSSEC infrastructure records of paper §6.
+                resp.authorities.extend(delegation.ds.iter().cloned());
+                resp.additionals.extend(delegation.glue.iter().cloned());
                 return resp;
             }
-            // If we also serve the child zone, answer from it directly
-            // (same-server parent/child, common for TLD operators).
-            match self.zones.get(&delegation.child) {
-                Some(child) if child.delegation_for(&question.name).is_none() => zone = child,
-                _ => {
-                    resp.authorities.extend(delegation.ns_records());
-                    // Signed delegations carry the DS set alongside the NS
-                    // set — the DNSSEC infrastructure records of paper §6.
-                    resp.authorities.extend(delegation.ds.iter().cloned());
-                    resp.additionals.extend(delegation.glue.iter().cloned());
-                    return resp;
-                }
-            }
         }
-
-        authoritative_answer(zone, question, &mut resp);
-        resp
     }
+
+    authoritative_answer(zone, question, &mut resp);
+    resp
 }
 
 /// Fills `resp` with `zone`'s authoritative answer to `question`.

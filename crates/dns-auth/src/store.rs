@@ -5,15 +5,25 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+/// The zones an authoritative server answers from, as
+/// [`respond`](crate::respond) needs them. [`ZoneStore`] is the live
+/// server's implementation; a simulator can serve many addresses from one
+/// shared zone table through its own.
+pub trait ZoneLookup {
+    /// The deepest served zone whose apex is `name` or an ancestor of it.
+    fn find(&self, name: &Name) -> Option<&Zone>;
+    /// The served zone whose apex is exactly `apex`.
+    fn get(&self, apex: &Name) -> Option<&Zone>;
+}
+
 /// A collection of zones indexed by apex, with longest-match lookup.
 ///
 /// Zones are stored behind [`Arc`] so that the several authoritative
-/// servers of a zone (and a simulator hosting thousands of servers) can
-/// share a single copy; [`ZoneStore::insert`] accepts both `Zone` and
-/// `Arc<Zone>`.
+/// servers of a zone can share a single copy; [`ZoneStore::insert`]
+/// accepts both `Zone` and `Arc<Zone>`.
 ///
 /// A server that hosts both `edu` and `ucla.edu` must answer a query for
-/// `www.ucla.edu` from the *deeper* zone; [`ZoneStore::find`] implements
+/// `www.ucla.edu` from the *deeper* zone; [`ZoneLookup::find`] implements
 /// that rule.
 #[derive(Debug, Clone, Default)]
 pub struct ZoneStore {
@@ -33,22 +43,10 @@ impl ZoneStore {
         self.zones.insert(zone.apex().clone(), zone)
     }
 
-    /// Looks up a zone by exact apex.
-    pub fn get(&self, apex: &Name) -> Option<&Zone> {
-        self.zones.get(apex).map(Arc::as_ref)
-    }
-
     /// Mutable access to a zone by exact apex (copy-on-write when the zone
     /// is shared with other stores).
     pub fn get_mut(&mut self, apex: &Name) -> Option<&mut Zone> {
         self.zones.get_mut(apex).map(Arc::make_mut)
-    }
-
-    /// The deepest zone whose apex is `name` or an ancestor of `name`.
-    pub fn find(&self, name: &Name) -> Option<&Zone> {
-        name.ancestors()
-            .find_map(|a| self.zones.get(&a))
-            .map(Arc::as_ref)
     }
 
     /// Number of zones.
@@ -64,6 +62,18 @@ impl ZoneStore {
     /// Iterates over zones in apex order.
     pub fn iter(&self) -> impl Iterator<Item = &Zone> {
         self.zones.values().map(Arc::as_ref)
+    }
+}
+
+impl ZoneLookup for ZoneStore {
+    fn find(&self, name: &Name) -> Option<&Zone> {
+        name.ancestors()
+            .find_map(|a| self.zones.get(&a))
+            .map(Arc::as_ref)
+    }
+
+    fn get(&self, apex: &Name) -> Option<&Zone> {
+        self.zones.get(apex).map(Arc::as_ref)
     }
 }
 

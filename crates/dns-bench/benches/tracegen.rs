@@ -16,8 +16,8 @@ fn bench_tracegen(c: &mut Criterion) {
         b.iter(|| builder.generate(black_box(&universe), 42))
     });
 
-    c.bench_function("tracegen/build_all_zones", |b| {
-        b.iter(|| black_box(&universe).build_all_zones())
+    c.bench_function("tracegen/build_zones", |b| {
+        b.iter(|| black_box(&universe).build_zones(None))
     });
 
     c.bench_function("tracegen/trace_stats", |b| {

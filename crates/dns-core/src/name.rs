@@ -491,8 +491,22 @@ impl Hash for Name {
 /// must never silently change to plain suffix-byte order.
 impl Ord for Name {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.labels().cmp(other.labels())
+        cmp_label_bytes(self.as_suffix_bytes(), other.as_suffix_bytes())
     }
+}
+
+/// The order of `Ord for Name` over raw length-prefixed label bytes, so a
+/// suffix of a name can be compared without building a `Name` view.
+pub(crate) fn cmp_label_bytes(a: &[u8], b: &[u8]) -> Ordering {
+    fn labels(mut rest: &[u8]) -> impl Iterator<Item = &[u8]> {
+        std::iter::from_fn(move || {
+            let (&len, tail) = rest.split_first()?;
+            let (label, tail) = tail.split_at(len as usize);
+            rest = tail;
+            Some(label)
+        })
+    }
+    labels(a).cmp(labels(b))
 }
 
 impl PartialOrd for Name {

@@ -505,7 +505,7 @@ impl RrSet {
     /// Returns `None` when `records` is empty.
     pub fn from_records(records: &[Record]) -> Option<Self> {
         let first = records.first()?;
-        let mut set = RrSet::new(first.key(), first.ttl(), Vec::new());
+        let mut set = RrSet::new(first.key(), first.ttl(), Vec::with_capacity(records.len()));
         for r in records {
             set.merge(r);
         }

@@ -1,10 +1,10 @@
 //! Authoritative zone data: apex records, in-zone data and delegations.
 
-use crate::{DnsError, Name, RData, Record, RecordType, RrKey, RrKeyView, RrSet, Ttl};
-use std::collections::{BTreeMap, HashMap};
+use crate::name::cmp_label_bytes;
+use crate::{DnsError, Name, RData, Record, RecordType, RrSet, Ttl};
+use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::ops::Bound;
 
 /// A delegation point inside a zone: the child zone's NS set as stored at
 /// the *parent*, plus any glue address records.
@@ -73,11 +73,12 @@ pub struct Zone {
     ns_names: Vec<Name>,
     /// TTL for the apex NS set and its glue.
     infra_ttl: Ttl,
-    /// All authoritative records (including apex NS and server A records),
-    /// indexed by RRset key.
-    records: BTreeMap<RrKey, RrSet>,
-    /// Delegations to children, keyed by child apex.
-    delegations: BTreeMap<Name, Delegation>,
+    /// All authoritative RRsets (including apex NS and server A records),
+    /// sorted by owner name, then type. A zone is built once and then
+    /// only read, so sorted vectors searched by bisection hold its data.
+    records: Vec<RrSet>,
+    /// Delegations to children, sorted by child apex.
+    delegations: Vec<Delegation>,
     /// Owner names of the delegations' glue records, with how many glue
     /// records each owns, so [`Zone::name_exists`] never scans the glue.
     glue_names: HashMap<Name, usize>,
@@ -104,62 +105,77 @@ impl Zone {
     /// this zone's servers are affected; data records keep their TTLs.
     pub fn set_infra_ttl(&mut self, ttl: Ttl) {
         self.infra_ttl = ttl;
-        let apex_ns = RrKey::new(self.apex.clone(), RecordType::Ns);
-        if let Some(set) = self.records.remove(&apex_ns) {
-            self.records.insert(apex_ns, set.with_ttl(ttl));
-        }
-        for ns in self.ns_names.clone() {
-            for rtype in [RecordType::A, RecordType::Aaaa] {
-                let key = RrKey::new(ns.clone(), rtype);
-                if let Some(set) = self.records.remove(&key) {
-                    self.records.insert(key, set.with_ttl(ttl));
-                }
+        let infra = std::iter::once((&self.apex, RecordType::Ns)).chain(
+            self.ns_names
+                .iter()
+                .flat_map(|ns| [(ns, RecordType::A), (ns, RecordType::Aaaa)]),
+        );
+        for (name, rtype) in infra {
+            if let Ok(i) = rrset_index(&self.records, name, rtype) {
+                self.records[i] = self.records[i].clone().with_ttl(ttl);
             }
         }
     }
 
-    /// Looks up an authoritative RRset without constructing a probe key.
+    /// Looks up an authoritative RRset.
     pub fn lookup(&self, name: &Name, rtype: RecordType) -> Option<&RrSet> {
-        self.records.get(&(name, rtype) as &dyn RrKeyView)
+        let i = rrset_index(&self.records, name, rtype).ok()?;
+        Some(&self.records[i])
     }
 
     /// Whether any RRset exists at `name`: authoritative data, a
     /// delegation cut or delegation glue.
     pub fn name_exists(&self, name: &Name) -> bool {
-        // Keys order by name, then type, and `A` is the first type: the
-        // first key at or after `(name, A)` is owned by `name` iff any is.
-        let first = (name, RecordType::A);
-        let from: &dyn RrKeyView = &first;
+        // Sets order by name first: the first set not below `name` is
+        // owned by `name` iff any is.
+        let first = self.records.partition_point(|set| set.name() < name);
         self.records
-            .range::<dyn RrKeyView, _>((Bound::Included(from), Bound::Unbounded))
-            .next()
-            .is_some_and(|(key, _)| &key.name == name)
-            || self.delegations.contains_key(name)
+            .get(first)
+            .is_some_and(|set| set.name() == name)
+            || self.delegation(name).is_some()
             || self.glue_names.contains_key(name)
     }
 
     /// The deepest delegation whose child apex is `name` or an ancestor of
     /// it — i.e. the zone cut a query for `name` must be referred through.
     pub fn delegation_for(&self, name: &Name) -> Option<&Delegation> {
-        // Walk from most specific ancestor down to (but excluding) the apex.
-        name.ancestors()
-            .filter(|a| a.is_proper_subdomain_of(&self.apex))
-            .find_map(|a| self.delegations.get(&a))
+        if self.delegations.is_empty() || !name.is_proper_subdomain_of(&self.apex) {
+            return None;
+        }
+        // Walk from the name itself down to (but excluding) the apex,
+        // probing each suffix as raw label bytes: no ancestor `Name` (and
+        // so no reference-count bump) is built.
+        let mut suffix = name.as_suffix_bytes();
+        for _ in self.apex.label_count()..name.label_count() {
+            let probe = self
+                .delegations
+                .binary_search_by(|d| cmp_label_bytes(d.child.as_suffix_bytes(), suffix));
+            if let Ok(i) = probe {
+                return Some(&self.delegations[i]);
+            }
+            suffix = &suffix[1 + usize::from(suffix[0])..];
+        }
+        None
     }
 
     /// Delegation entry for an exact child apex.
     pub fn delegation(&self, child: &Name) -> Option<&Delegation> {
-        self.delegations.get(child)
+        let i = self.delegation_index(child).ok()?;
+        Some(&self.delegations[i])
+    }
+
+    fn delegation_index(&self, child: &Name) -> Result<usize, usize> {
+        self.delegations.binary_search_by(|d| d.child.cmp(child))
     }
 
     /// All delegations, ordered by child apex.
     pub fn delegations(&self) -> impl Iterator<Item = &Delegation> {
-        self.delegations.values()
+        self.delegations.iter()
     }
 
-    /// All authoritative RRsets.
+    /// All authoritative RRsets, ordered by owner name, then type.
     pub fn rrsets(&self) -> impl Iterator<Item = &RrSet> {
-        self.records.values()
+        self.records.iter()
     }
 
     /// Whether `name` is inside this zone's authority (at or below the apex
@@ -189,12 +205,12 @@ impl Zone {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "$ORIGIN {}", self.apex);
-        for set in self.records.values() {
+        for set in &self.records {
             for rec in set.records() {
                 let _ = writeln!(out, "{rec}");
             }
         }
-        for d in self.delegations.values() {
+        for d in &self.delegations {
             let _ = writeln!(out, "; delegation: {}", d.child);
             for rec in d.ns_records() {
                 let _ = writeln!(out, "{rec}");
@@ -212,18 +228,17 @@ impl Zone {
     /// Adds or replaces a delegation after construction. Used by the
     /// namespace generator when wiring up a synthetic tree.
     pub fn add_delegation(&mut self, delegation: Delegation) -> Result<(), DnsError> {
-        if !delegation.child.is_proper_subdomain_of(&self.apex) {
-            return Err(DnsError::InvalidZone(format!(
-                "delegation {} is not below apex {}",
-                delegation.child, self.apex
-            )));
-        }
+        check_below_apex(&self.apex, &delegation)?;
         for glue in &delegation.glue {
             *self.glue_names.entry(glue.name().clone()).or_default() += 1;
         }
-        let replaced = self
-            .delegations
-            .insert(delegation.child.clone(), delegation);
+        let replaced = match self.delegation_index(&delegation.child) {
+            Ok(i) => Some(std::mem::replace(&mut self.delegations[i], delegation)),
+            Err(i) => {
+                self.delegations.insert(i, delegation);
+                None
+            }
+        };
         for glue in replaced.iter().flat_map(|d| &d.glue) {
             if let Some(count) = self.glue_names.get_mut(glue.name()) {
                 *count -= 1;
@@ -234,6 +249,22 @@ impl Zone {
         }
         Ok(())
     }
+}
+
+fn check_below_apex(apex: &Name, delegation: &Delegation) -> Result<(), DnsError> {
+    if delegation.child.is_proper_subdomain_of(apex) {
+        return Ok(());
+    }
+    Err(DnsError::InvalidZone(format!(
+        "delegation {} is not below apex {}",
+        delegation.child, apex
+    )))
+}
+
+/// Where the `(name, rtype)` set sits in `records` (sorted as
+/// [`Zone::rrsets`] yields them), or where it would be inserted.
+fn rrset_index(records: &[RrSet], name: &Name, rtype: RecordType) -> Result<usize, usize> {
+    records.binary_search_by(|set| set.name().cmp(name).then(set.rtype().cmp(&rtype)))
 }
 
 impl fmt::Display for Zone {
@@ -326,34 +357,24 @@ impl ZoneBuilder {
                 self.apex
             )));
         }
-        let mut records: BTreeMap<RrKey, RrSet> = BTreeMap::new();
-        let mut push =
-            |rec: Record| match records.get_mut(&(rec.name(), rec.rtype()) as &dyn RrKeyView) {
-                Some(set) => set.merge(&rec),
-                None => {
-                    let set = RrSet::new(rec.key(), rec.ttl(), vec![rec.rdata().clone()]);
-                    records.insert(rec.key(), set);
-                }
-            };
-
-        // Apex NS set plus in-zone glue.
+        // Apex NS set plus in-zone glue, the DNSKEY, then the data.
+        let mut all = Vec::with_capacity(2 * self.ns.len() + 1 + self.records.len());
         for (ns_name, addr) in &self.ns {
-            push(Record::new(
+            all.push(Record::new(
                 self.apex.clone(),
                 self.infra_ttl,
                 RData::Ns(ns_name.clone()),
             ));
             if ns_name.is_subdomain_of(&self.apex) {
-                push(Record::new(
+                all.push(Record::new(
                     ns_name.clone(),
                     self.infra_ttl,
                     RData::A(*addr),
                 ));
             }
         }
-
         if let Some((key_tag, public_key)) = self.dnskey {
-            push(Record::new(
+            all.push(Record::new(
                 self.apex.clone(),
                 self.infra_ttl,
                 RData::Dnskey {
@@ -362,7 +383,6 @@ impl ZoneBuilder {
                 },
             ));
         }
-
         for rec in self.records {
             if !rec.name().is_subdomain_of(&self.apex) {
                 return Err(DnsError::InvalidZone(format!(
@@ -371,27 +391,58 @@ impl ZoneBuilder {
                     self.apex
                 )));
             }
-            push(rec);
+            all.push(rec);
         }
 
-        let mut zone = Zone {
+        // One stable sort, then fold each run of equal keys into a set:
+        // members keep the order they were added in. A built zone is
+        // almost only read, so every vector is sized to its contents.
+        all.sort_by(|a, b| a.name().cmp(b.name()).then(a.rtype().cmp(&b.rtype())));
+        let mut records: Vec<RrSet> = all
+            .chunk_by(|a, b| a.name() == b.name() && a.rtype() == b.rtype())
+            .map(|run| RrSet::from_records(run).expect("chunks are non-empty"))
+            .collect();
+        records.shrink_to_fit();
+
+        let mut delegations = self.delegations;
+        for d in &delegations {
+            check_below_apex(&self.apex, d)?;
+        }
+        // Sorted once (stable), and a later delegation to the same child
+        // replaces an earlier one, as `Zone::add_delegation` does.
+        delegations.sort_by(|a, b| a.child.cmp(&b.child));
+        delegations.dedup_by(|later, kept| {
+            let same = later.child == kept.child;
+            if same {
+                std::mem::swap(later, kept);
+            }
+            same
+        });
+        delegations.shrink_to_fit();
+        for d in &mut delegations {
+            d.glue.shrink_to_fit();
+        }
+        let mut glue_names: HashMap<Name, usize> = HashMap::new();
+        for glue in delegations.iter().flat_map(|d| &d.glue) {
+            *glue_names.entry(glue.name().clone()).or_default() += 1;
+        }
+
+        Ok(Zone {
             apex: self.apex,
             ns_names: self.ns.iter().map(|(n, _)| n.clone()).collect(),
             infra_ttl: self.infra_ttl,
             records,
-            delegations: BTreeMap::new(),
-            glue_names: HashMap::new(),
-        };
-        for d in self.delegations {
-            zone.add_delegation(d)?;
-        }
-        Ok(zone)
+            delegations,
+            glue_names,
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RrKey;
+    use std::collections::BTreeMap;
 
     fn name(s: &str) -> Name {
         s.parse().unwrap()
@@ -542,15 +593,6 @@ mod tests {
         assert!(!z.name_exists(&name("nope.ucla.edu")));
     }
 
-    /// The full scan `name_exists` used to run: every record key, then
-    /// every delegation's apex and glue.
-    fn name_exists_by_scan(z: &Zone, n: &Name) -> bool {
-        z.records.keys().any(|k| &k.name == n)
-            || z.delegations
-                .values()
-                .any(|d| d.child == *n || d.glue.iter().any(|g| g.name() == n))
-    }
-
     /// Names below `gen.test`; a small pool so generated records,
     /// delegations and glue collide on the same owners often.
     fn pool(idx: usize) -> Name {
@@ -561,45 +603,168 @@ mod tests {
         }
     }
 
+    /// What a zone should hold, kept in ordered maps: the storage `Zone`
+    /// used before its sorted vectors, and the semantics they must keep.
+    struct Model {
+        apex: Name,
+        records: BTreeMap<RrKey, RrSet>,
+        delegations: BTreeMap<Name, Delegation>,
+    }
+
+    impl Model {
+        fn add(&mut self, rec: Record) {
+            match self.records.get_mut(&rec.key()) {
+                Some(set) => set.merge(&rec),
+                None => {
+                    let set = RrSet::new(rec.key(), rec.ttl(), vec![rec.rdata().clone()]);
+                    self.records.insert(rec.key(), set);
+                }
+            }
+        }
+
+        fn set_ttl(&mut self, owner: &Name, rtype: RecordType, ttl: Ttl) {
+            let key = RrKey::new(owner.clone(), rtype);
+            if let Some(set) = self.records.remove(&key) {
+                self.records.insert(key, set.with_ttl(ttl));
+            }
+        }
+
+        /// A full scan of every record key, delegation apex and glue owner.
+        fn name_exists(&self, n: &Name) -> bool {
+            self.records.keys().any(|k| &k.name == n)
+                || self
+                    .delegations
+                    .values()
+                    .any(|d| d.child == *n || d.glue.iter().any(|g| g.name() == n))
+        }
+
+        fn delegation_for(&self, n: &Name) -> Option<&Delegation> {
+            n.ancestors()
+                .filter(|a| a.is_proper_subdomain_of(&self.apex))
+                .find_map(|a| self.delegations.get(&a))
+        }
+
+        fn to_zone_file(&self) -> String {
+            use std::fmt::Write as _;
+            let mut out = format!("$ORIGIN {}\n", self.apex);
+            for rec in self.records.values().flat_map(RrSet::records) {
+                let _ = writeln!(out, "{rec}");
+            }
+            for d in self.delegations.values() {
+                let _ = writeln!(out, "; delegation: {}", d.child);
+                for rec in d.ns_records().chain(d.ds.iter().cloned()) {
+                    let _ = writeln!(out, "{rec}");
+                }
+                for rec in &d.glue {
+                    let _ = writeln!(out, "{rec}");
+                }
+            }
+            out
+        }
+    }
+
+    type RecordSpec = (usize, usize, u8);
+    type DelegationSpec = (usize, Vec<usize>, u8);
+
+    fn gen_record((owner, kind, hours): RecordSpec) -> Record {
+        let rdata = match kind {
+            0 => RData::A(ip(owner as u8)),
+            1 => RData::A(ip(9)),
+            2 => RData::Txt(format!("t{owner}")),
+            _ => RData::Mx {
+                preference: 10,
+                exchange: pool(4),
+            },
+        };
+        Record::new(pool(owner), Ttl::from_hours(u32::from(hours)), rdata)
+    }
+
+    fn gen_delegation((child, glue, hours): DelegationSpec) -> Delegation {
+        let ttl = Ttl::from_hours(u32::from(hours));
+        let glue = glue
+            .into_iter()
+            .map(|g| Record::new(pool(g), ttl, RData::A(ip(g as u8))))
+            .collect();
+        Delegation::unsigned(pool(child), vec![pool(3)], ttl, glue)
+    }
+
+    /// Builds the same zone both ways: `built` delegations go through the
+    /// builder, `added` ones through `add_delegation` afterwards (each
+    /// list may name one child several times; the later one wins).
+    fn zone_and_model(
+        records: Vec<RecordSpec>,
+        built: Vec<DelegationSpec>,
+        added: Vec<DelegationSpec>,
+        infra_ttl: Option<u8>,
+    ) -> (Zone, Model) {
+        let mut model = Model {
+            apex: pool(0),
+            records: BTreeMap::new(),
+            delegations: BTreeMap::new(),
+        };
+        let infra = Ttl::from_days(1);
+        model.add(Record::new(pool(0), infra, RData::Ns(pool(3))));
+        model.add(Record::new(pool(3), infra, RData::A(ip(1))));
+        let mut builder = ZoneBuilder::new(pool(0)).ns(pool(3), ip(1), infra);
+        for rec in records.into_iter().map(gen_record) {
+            model.add(rec.clone());
+            builder = builder.record(rec);
+        }
+        for d in built.into_iter().map(gen_delegation) {
+            model.delegations.insert(d.child.clone(), d.clone());
+            builder = builder.delegate(d);
+        }
+        let mut z = builder.build().unwrap();
+        for d in added.into_iter().map(gen_delegation) {
+            model.delegations.insert(d.child.clone(), d.clone());
+            z.add_delegation(d).unwrap();
+        }
+        if let Some(hours) = infra_ttl {
+            let ttl = Ttl::from_hours(u32::from(hours));
+            z.set_infra_ttl(ttl);
+            model.set_ttl(&pool(0), RecordType::Ns, ttl);
+            model.set_ttl(&pool(3), RecordType::A, ttl);
+        }
+        (z, model)
+    }
+
     proptest::proptest! {
         #[test]
-        fn name_exists_matches_full_scan(
-            records in proptest::collection::vec((0usize..7, 0usize..3), 0..8),
-            delegations in proptest::collection::vec(
-                (1usize..7, proptest::collection::vec(0usize..7, 0..3)),
-                0..6,
+        fn sorted_zone_matches_btreemap_model(
+            records in proptest::collection::vec((0usize..7, 0usize..4, 1u8..4), 0..10),
+            built in proptest::collection::vec(
+                (1usize..7, proptest::collection::vec(0usize..7, 0..3), 1u8..4),
+                0..5,
             ),
+            added in proptest::collection::vec(
+                (1usize..7, proptest::collection::vec(0usize..7, 0..3), 1u8..4),
+                0..4,
+            ),
+            infra_ttl in proptest::collection::vec(1u8..48, 0..2),
         ) {
-            let mut builder = ZoneBuilder::new(pool(0)).ns(pool(3), ip(1), Ttl::from_days(1));
-            for (owner, kind) in records {
-                let rdata = match kind {
-                    0 => RData::A(ip(owner as u8)),
-                    1 => RData::Txt(format!("t{owner}")),
-                    _ => RData::Mx { preference: 10, exchange: pool(4) },
-                };
-                builder = builder.record(Record::new(pool(owner), Ttl::from_hours(1), rdata));
+            let (z, model) = zone_and_model(records, built, added, infra_ttl.first().copied());
+            let probes = (0..7)
+                .map(pool)
+                .chain(
+                    ["x.c.a.gen.test", "y.ns.b.gen.test", "zz.gen.test", "gen.other", "test"]
+                        .map(name),
+                );
+            for n in probes {
+                proptest::prop_assert_eq!(z.name_exists(&n), model.name_exists(&n));
+                proptest::prop_assert_eq!(z.delegation_for(&n), model.delegation_for(&n));
+                proptest::prop_assert_eq!(z.delegation(&n), model.delegations.get(&n));
+                for rtype in RecordType::ALL {
+                    let key = RrKey::new(n.clone(), rtype);
+                    proptest::prop_assert_eq!(z.lookup(&n, rtype), model.records.get(&key));
+                }
             }
-            let mut z = builder.build().unwrap();
-            // Re-adding a child replaces its delegation, glue included.
-            for (child, glue) in delegations {
-                let glue = glue
-                    .into_iter()
-                    .map(|g| Record::new(pool(g), Ttl::from_hours(2), RData::A(ip(g as u8))))
-                    .collect();
-                z.add_delegation(Delegation::unsigned(
-                    pool(child),
-                    vec![pool(3)],
-                    Ttl::from_hours(2),
-                    glue,
-                ))
-                .unwrap();
-            }
-            for idx in 0..7 {
-                let n = pool(idx);
-                proptest::prop_assert_eq!(z.name_exists(&n), name_exists_by_scan(&z, &n));
-            }
-            let absent = name("zz.gen.test");
-            proptest::prop_assert!(!z.name_exists(&absent));
+            let sets: Vec<&RrSet> = z.rrsets().collect();
+            let model_sets: Vec<&RrSet> = model.records.values().collect();
+            proptest::prop_assert_eq!(sets, model_sets);
+            let delegations: Vec<&Delegation> = z.delegations().collect();
+            let model_delegations: Vec<&Delegation> = model.delegations.values().collect();
+            proptest::prop_assert_eq!(delegations, model_delegations);
+            proptest::prop_assert_eq!(z.to_zone_file(), model.to_zone_file());
         }
     }
 }

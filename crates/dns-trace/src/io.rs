@@ -490,7 +490,7 @@ mod tests {
         save_universe(&mut buf, &u).unwrap();
         let back = load_universe(buf.as_slice()).unwrap();
         // Zones materialise and serve.
-        let zones = back.build_all_zones();
+        let zones = back.build_zones(None);
         assert_eq!(zones.len(), back.zone_count());
         assert!(back.zone_of(&back.zones()[5].apex).is_some());
     }

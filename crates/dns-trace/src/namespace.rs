@@ -13,7 +13,6 @@ use rand::{RngExt, SeedableRng};
 use std::collections::HashMap;
 use std::fmt;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// One generated zone, before conversion to a full [`Zone`].
 #[derive(Debug, Clone)]
@@ -311,19 +310,21 @@ impl Universe {
             .collect()
     }
 
-    /// Materialises one zone as a servable [`Zone`] with its delegations.
+    /// Materialises one zone as a servable [`Zone`] with its delegations;
+    /// `long_ttl` is applied as in [`Universe::build_zones`].
     ///
     /// # Panics
     ///
     /// Panics if `spec` is inconsistent (cannot happen for generated
     /// universes).
-    pub fn build_zone(&self, spec: &ZoneSpec) -> Zone {
-        let mut builder = ZoneBuilder::new(spec.apex.clone()).infra_ttl(spec.infra_ttl);
+    pub fn build_zone(&self, spec: &ZoneSpec, long_ttl: Option<Ttl>) -> Zone {
+        let infra_ttl = published_infra_ttl(spec, long_ttl);
+        let mut builder = ZoneBuilder::new(spec.apex.clone()).infra_ttl(infra_ttl);
         if let Some((key_tag, public_key)) = spec.dnskey {
             builder = builder.dnskey(key_tag, public_key);
         }
         for (ns_name, addr) in &spec.ns {
-            builder = builder.ns(ns_name.clone(), *addr, spec.infra_ttl);
+            builder = builder.ns(ns_name.clone(), *addr, infra_ttl);
         }
         for (owner, ttl) in &spec.data_names {
             builder = builder.a(owner.clone(), self.addr_for_host(owner), *ttl);
@@ -349,18 +350,19 @@ impl Universe {
                 .a(mail.clone(), self.addr_for_host(&mail), Ttl::from_hours(4));
         }
         for child in self.children_of(&spec.apex) {
+            let child_ttl = published_infra_ttl(child, long_ttl);
             let glue: Vec<Record> = child
                 .ns
                 .iter()
                 .filter(|(n, _)| n.is_subdomain_of(&child.apex))
-                .map(|(n, a)| Record::new(n.clone(), child.infra_ttl, RData::A(*a)))
+                .map(|(n, a)| Record::new(n.clone(), child_ttl, RData::A(*a)))
                 .collect();
             let ds = child
                 .dnskey
                 .map(|(key_tag, public_key)| {
                     vec![Record::new(
                         child.apex.clone(),
-                        child.infra_ttl,
+                        child_ttl,
                         RData::Ds {
                             key_tag,
                             digest: dns_core::synthetic_key_digest(public_key),
@@ -371,29 +373,12 @@ impl Universe {
             builder = builder.delegate(Delegation {
                 child: child.apex.clone(),
                 ns_names: child.ns.iter().map(|(n, _)| n.clone()).collect(),
-                ns_ttl: child.infra_ttl,
+                ns_ttl: child_ttl,
                 glue,
                 ds,
             });
         }
         builder.build().expect("generated zones are consistent")
-    }
-
-    /// A copy of this universe in which every non-root zone publishes its
-    /// infrastructure records with `ttl` — the paper's *long-TTL* scheme
-    /// applied by all zone operators at once (Figures 10–11).
-    ///
-    /// Both the zones' own IRR copies and the parent-side delegation
-    /// copies are affected, because delegations are derived from the
-    /// child's `infra_ttl` when zones are materialised.
-    pub fn with_infra_ttl_override(&self, ttl: Ttl) -> Universe {
-        let mut out = self.clone();
-        for spec in &mut out.zones {
-            if !spec.apex.is_root() {
-                spec.infra_ttl = ttl;
-            }
-        }
-        out
     }
 
     /// A copy of this universe with NXNSAttack delegation bombs grafted
@@ -476,12 +461,18 @@ impl Universe {
             .collect()
     }
 
-    /// Materialises every zone, shared behind `Arc` for the simulator's
-    /// server farm.
-    pub fn build_all_zones(&self) -> HashMap<Name, Arc<Zone>> {
+    /// Materialises every zone, in [`Universe::zones`] order.
+    ///
+    /// With `long_ttl` set, every non-root zone publishes its
+    /// infrastructure records with that TTL — the paper's *long-TTL*
+    /// scheme applied by all zone operators at once (Figures 10–11). Both
+    /// the zone's own copies (apex NS set, glue, DNSKEY) and the parent's
+    /// delegation copies (NS set, glue, DS) carry it, exactly as
+    /// republishing the zones would.
+    pub fn build_zones(&self, long_ttl: Option<Ttl>) -> Vec<Zone> {
         self.zones
             .iter()
-            .map(|spec| (spec.apex.clone(), Arc::new(self.build_zone(spec))))
+            .map(|spec| self.build_zone(spec, long_ttl))
             .collect()
     }
 
@@ -534,6 +525,15 @@ impl fmt::Display for Universe {
             self.zones.len(),
             self.root_servers.len()
         )
+    }
+}
+
+/// The TTL `spec`'s infrastructure records are published with: the
+/// long-TTL override when one is set, except at the root.
+fn published_infra_ttl(spec: &ZoneSpec, long_ttl: Option<Ttl>) -> Ttl {
+    match long_ttl {
+        Some(ttl) if !spec.apex.is_root() => ttl,
+        _ => spec.infra_ttl,
     }
 }
 
@@ -795,7 +795,7 @@ mod tests {
     #[test]
     fn built_zones_delegate_their_children() {
         let u = small();
-        let root_zone = u.build_zone(u.get(&Name::root()).unwrap());
+        let root_zone = u.build_zone(u.get(&Name::root()).unwrap(), None);
         assert_eq!(
             root_zone.delegations().count(),
             u.children_of(&Name::root()).count()
@@ -807,12 +807,59 @@ mod tests {
             .iter()
             .find(|z| z.apex.label_count() == 1 && u.children_of(&z.apex).next().is_some())
             .expect("some TLD has children");
-        let tld_zone = u.build_zone(tld);
+        let tld_zone = u.build_zone(tld, None);
         for d in tld_zone.delegations() {
             for (n, _) in d.glue.iter().map(|g| (g.name().clone(), ())) {
                 assert!(n.is_subdomain_of(&d.child));
             }
         }
+    }
+
+    #[test]
+    fn build_zones_applies_long_ttl_to_every_infrastructure_copy() {
+        use dns_core::RecordType;
+        let u = UniverseSpec::small_signed().build(7);
+        let ttl = Ttl::from_days(5);
+        let zones = u.build_zones(Some(ttl));
+        assert_eq!(zones.len(), u.zone_count());
+        let mut signed_delegations = 0;
+        for (spec, zone) in u.zones().iter().zip(&zones) {
+            assert_eq!(zone.apex(), &spec.apex);
+            // The root's operators are outside the scheme.
+            let own = if spec.apex.is_root() {
+                spec.infra_ttl
+            } else {
+                ttl
+            };
+            assert_eq!(zone.infra_ttl(), own, "{}", spec.apex);
+            assert_eq!(zone.lookup(&spec.apex, RecordType::Ns).unwrap().ttl(), own);
+            for ns in zone
+                .ns_names()
+                .iter()
+                .filter(|n| n.is_subdomain_of(&spec.apex))
+            {
+                assert_eq!(zone.lookup(ns, RecordType::A).unwrap().ttl(), own);
+            }
+            // Every parent-side copy carries the child's override.
+            for d in zone.delegations() {
+                assert_eq!(d.ns_ttl, ttl, "{}", d.child);
+                assert!(d.glue.iter().chain(&d.ds).all(|r| r.ttl() == ttl));
+                signed_delegations += usize::from(!d.ds.is_empty());
+            }
+        }
+        assert!(signed_delegations > 0);
+        assert_ne!(
+            u.zones()[0].infra_ttl,
+            ttl,
+            "the root's own TTL must differ"
+        );
+        // Without an override every zone keeps its generated TTL.
+        let plain = u.build_zones(None);
+        assert!(u
+            .zones()
+            .iter()
+            .zip(&plain)
+            .all(|(spec, zone)| zone.infra_ttl() == spec.infra_ttl));
     }
 
     #[test]
@@ -880,7 +927,7 @@ mod tests {
             }
             // The parent's delegation to the bomb carries zero glue.
             let parent = u.get(bomb.parent.as_ref().unwrap()).unwrap();
-            let parent_zone = u.build_zone(parent);
+            let parent_zone = u.build_zone(parent, None);
             let d = parent_zone
                 .delegations()
                 .find(|d| d.child == apex)
